@@ -286,7 +286,7 @@ Status BufferPool::EvictFrame(uint32_t frame) {
   return s;
 }
 
-PageId BufferPool::PullVictim(char* page, bool* dirty, bool* fdirty,
+PageId BufferPool::PullVictim(char** page, bool* dirty, bool* fdirty,
                               Lsn* rec_lsn) {
   for (int32_t i = lru_.tail(); i >= 0; i = frames_[i].lru.prev) {
     if (frames_[i].pins != 0) continue;
@@ -296,7 +296,9 @@ PageId BufferPool::PullVictim(char* page, bool* dirty, bool* fdirty,
       if (!log_->FlushTo(PageView(f.data.get()).lsn()).ok()) return kInvalidPageId;
     }
     const PageId page_id = f.page_id;
-    memcpy(page, f.data.get(), kPageSize);
+    // Lend, don't copy: the frame goes on the free list, but no frame is
+    // handed out before the cache returns from this pull.
+    *page = f.data.get();
     *dirty = f.dirty;
     *fdirty = f.fdirty;
     if (rec_lsn != nullptr) *rec_lsn = f.rec_lsn;

@@ -126,8 +126,9 @@ class BufferPool final : public DramPullSource {
   /// (CheckpointPage); write to disk when not absorbed. WAL forced first.
   Status SyncDirtyPagesForCheckpoint();
 
-  /// DramPullSource: surrender an unpinned LRU-tail page to the cache.
-  PageId PullVictim(char* page, bool* dirty, bool* fdirty,
+  /// DramPullSource: surrender an unpinned LRU-tail page to the cache,
+  /// lending it the freed frame's bytes (no copy; see cache_ext.h).
+  PageId PullVictim(char** page, bool* dirty, bool* fdirty,
                     Lsn* rec_lsn) override;
 
   /// Flash-loss transition step: write every dirty frame whose only redo

@@ -28,11 +28,14 @@ class DramPullSource {
  public:
   virtual ~DramPullSource() = default;
 
-  /// Evict one unpinned page from the LRU tail: copies its kPageSize bytes
-  /// into `page`, reports its dirty/fdirty flags and recLSN as of eviction,
-  /// and frees the frame. Returns kInvalidPageId if nothing is evictable.
-  /// The WAL is forced as needed before the page is surrendered.
-  virtual PageId PullVictim(char* page, bool* dirty, bool* fdirty,
+  /// Evict one unpinned page from the LRU tail and lend its bytes: `*page`
+  /// points at the freed frame's kPageSize bytes, which nothing touches
+  /// until the pool next hands out a frame. The caller consumes them
+  /// (copies, stamps or writes them out; it may modify them in place)
+  /// before calling back into the pool. Reports the page's dirty/fdirty
+  /// flags and recLSN as of eviction. Returns kInvalidPageId if nothing is
+  /// evictable. The WAL is forced as needed before the page is surrendered.
+  virtual PageId PullVictim(char** page, bool* dirty, bool* fdirty,
                             Lsn* rec_lsn) = 0;
 };
 

@@ -5,6 +5,7 @@
 
 #include "obs/metrics.h"
 #include "storage/page.h"
+#include "storage/verified_read.h"
 
 namespace face {
 
@@ -63,10 +64,10 @@ StatusOr<FlashReadResult> ExadataCache::ReadPage(PageId page_id, char* out) {
     return Status::NotFound("page not in Exadata cache");
   }
   const uint32_t frame = *found;
-  FACE_RETURN_IF_ERROR(flash_->Read(frame, out));
+  PageCheck check;
+  FACE_RETURN_IF_ERROR(ReadVerifiedPage(flash_, frame, page_id, out, &check));
   ++stats_.flash_reads;
-  ConstPageView view(out);
-  if (!view.VerifyChecksum() || view.page_id() != page_id) {
+  if (check != PageCheck::kOk) {
     return Status::Corruption("Exadata cache frame failed validation");
   }
   // The frame is the chain base; patch delta refreshes on top and hand the
@@ -102,7 +103,7 @@ Status ExadataCache::OnFetchFromDisk(PageId page_id, const char* page,
   PageView view(scratch_.data());
   view.set_page_id(page_id);
   view.StampChecksum();
-  FACE_RETURN_IF_ERROR(flash_->Write(frame, scratch_.data()));
+  FACE_RETURN_IF_ERROR(flash_->WriteSealed(frame, scratch_.data()));
   ++stats_.flash_writes;
   const uint64_t version = delta_.BeginFull(page_id, frame);
   if (admitted_version != nullptr) *admitted_version = version;
@@ -185,7 +186,7 @@ Status ExadataCache::ConsolidateDeltaPages(const std::vector<PageId>& pids) {
     delta_.ApplyChain(pid, consolidate_buf_.data());
     PageView view(consolidate_buf_.data());
     view.StampChecksum();
-    FACE_RETURN_IF_ERROR(flash_->Write(*frame, consolidate_buf_.data()));
+    FACE_RETURN_IF_ERROR(flash_->WriteSealed(*frame, consolidate_buf_.data()));
     ++stats_.flash_writes;
     delta_.BeginFull(pid, *frame);
   }
@@ -265,7 +266,7 @@ Status ExadataCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
     PageView repaired(scratch_.data());
     repaired.set_page_id(pid);
     repaired.StampChecksum();
-    FACE_RETURN_IF_ERROR(flash_->Write(f, scratch_.data()));
+    FACE_RETURN_IF_ERROR(flash_->WriteSealed(f, scratch_.data()));
     ++stats_.flash_writes;
     ++out->clean_repaired;
   }

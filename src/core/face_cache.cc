@@ -7,6 +7,7 @@
 #include "common/crc32c.h"
 #include "obs/trace.h"
 #include "storage/page.h"
+#include "storage/verified_read.h"
 
 namespace face {
 
@@ -179,7 +180,7 @@ Status FaceCache::WriteFrame(uint64_t seq, const char* page, PageId page_id,
   }
   StampInto(scratch_.data(), page, page_id, lsn, seq);
   ++stats_.flash_writes;
-  return flash_->Write(layout_.FrameBlock(seq), scratch_.data());
+  return flash_->WriteSealed(layout_.FrameBlock(seq), scratch_.data());
 }
 
 Status FaceCache::FlushStaging() {
@@ -190,11 +191,11 @@ Status FaceCache::FlushStaging() {
   const uint64_t frame0 = staged_base_ % layout_.n_frames;
   const uint64_t span1 = std::min<uint64_t>(count, layout_.n_frames - frame0);
 
-  FACE_RETURN_IF_ERROR(flash_->WriteBatch(layout_.frame_base + frame0,
-                                          static_cast<uint32_t>(span1),
-                                          staging_buf_.data()));
+  FACE_RETURN_IF_ERROR(flash_->WriteBatchSealed(
+      layout_.frame_base + frame0, static_cast<uint32_t>(span1),
+      staging_buf_.data()));
   if (span1 < count) {
-    FACE_RETURN_IF_ERROR(flash_->WriteBatch(
+    FACE_RETURN_IF_ERROR(flash_->WriteBatchSealed(
         layout_.frame_base, static_cast<uint32_t>(count - span1),
         StagingSlot(span1)));
   }
@@ -204,15 +205,17 @@ Status FaceCache::FlushStaging() {
   return Status::OK();
 }
 
-Status FaceCache::ReadFrames(uint64_t seq, uint32_t count, char* out) {
+Status FaceCache::ReadFrames(uint64_t seq, uint32_t count, char* out,
+                             const uint8_t* want) {
   const uint64_t frame0 = seq % layout_.n_frames;
   const uint64_t span1 = std::min<uint64_t>(count, layout_.n_frames - frame0);
-  FACE_RETURN_IF_ERROR(flash_->ReadBatch(layout_.frame_base + frame0,
-                                         static_cast<uint32_t>(span1), out));
+  FACE_RETURN_IF_ERROR(flash_->ReadBatchSparse(layout_.frame_base + frame0,
+                                               static_cast<uint32_t>(span1),
+                                               out, want));
   if (span1 < count) {
-    FACE_RETURN_IF_ERROR(flash_->ReadBatch(
+    FACE_RETURN_IF_ERROR(flash_->ReadBatchSparse(
         layout_.frame_base, static_cast<uint32_t>(count - span1),
-        out + span1 * kPageSize));
+        out + span1 * kPageSize, want == nullptr ? nullptr : want + span1));
   }
   stats_.flash_reads += count;
   return Status::OK();
@@ -259,10 +262,11 @@ StatusOr<FlashReadResult> FaceCache::ReadPage(PageId page_id, char* out) {
     // Still in the controller write buffer: serve from memory.
     memcpy(out, StagingSlot(seq - staged_base_), kPageSize);
   } else {
-    FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(seq), out));
+    PageCheck check;
+    FACE_RETURN_IF_ERROR(ReadVerifiedPage(flash_, layout_.FrameBlock(seq),
+                                          page_id, out, &check));
     ++stats_.flash_reads;
-    ConstPageView view(out);
-    if (!view.VerifyChecksum() || view.page_id() != page_id) {
+    if (check != PageCheck::kOk) {
       return Status::Corruption("flash cache frame failed validation");
     }
   }
@@ -341,29 +345,11 @@ Status FaceCache::DequeueGroup() {
   if (staged_count_ > 0 && front_seq_ + batch > staged_base_) {
     FACE_RETURN_IF_ERROR(FlushStaging());
   }
-  if (dequeue_buf_.size() < static_cast<size_t>(batch) * kPageSize) {
-    dequeue_buf_.resize(static_cast<size_t>(batch) * kPageSize);
-  }
-  char* buf = dequeue_buf_.data();
-  FACE_RETURN_IF_ERROR(ReadFrames(front_seq_, batch, buf));
 
-  // Valid frames are chain bases: patch each up to its tip image before
-  // deciding fates, so disk writes and second-chance re-enqueues carry
-  // every delta refresh since the full write.
-  for (uint32_t k = 0; k < batch; ++k) {
-    const Entry& e = EntryAt(front_seq_ + k);
-    if (e.page_id == kInvalidPageId || !e.valid) continue;
-    delta_.ApplyChain(e.page_id, buf + static_cast<size_t>(k) * kPageSize);
-  }
-
-  // Decide each page's fate.
-  struct Survivor {
-    PageId page_id;
-    const char* bytes;
-    bool dirty;
-    Lsn lsn;
-  };  // bytes point into dequeue_buf_; disjoint from the pages written below
-  std::vector<Survivor> survivors;
+  // Decide each frame's fate from its directory entry alone: a referenced
+  // valid page gets a second chance (re-enqueued), an unreferenced valid
+  // dirty page is destaged to disk, everything else is dropped. Only the
+  // first two need their bytes.
   uint32_t referenced_valid = 0;
   if (options_.second_chance) {
     for (uint32_t k = 0; k < batch; ++k) {
@@ -374,16 +360,46 @@ Status FaceCache::DequeueGroup() {
     }
   }
   const bool all_referenced = referenced_valid == batch;
-
+  enum Fate : uint8_t { kDrop = 0, kDestage, kSecondChance };
+  dequeue_fate_.assign(batch, kDrop);
   for (uint32_t k = 0; k < batch; ++k) {
     const Entry& e = EntryAt(front_seq_ + k);
     if (e.page_id == kInvalidPageId || !e.valid) continue;
-    char* bytes = buf + static_cast<size_t>(k) * kPageSize;
-    const bool second_chance = options_.second_chance && e.referenced &&
-                               !(all_referenced && k == 0);
-    if (second_chance) {
-      survivors.push_back(Survivor{e.page_id, bytes, e.dirty, e.lsn});
+    if (options_.second_chance && e.referenced &&
+        !(all_referenced && k == 0)) {
+      dequeue_fate_[k] = kSecondChance;
     } else if (e.dirty) {
+      dequeue_fate_[k] = kDestage;
+    }
+  }
+
+  // One batch read is charged for the whole group, as on a real device;
+  // only the frames with a non-drop fate are copied out of it.
+  if (dequeue_buf_.size() < static_cast<size_t>(batch) * kPageSize) {
+    dequeue_buf_.resize(static_cast<size_t>(batch) * kPageSize);
+  }
+  char* buf = dequeue_buf_.data();
+  FACE_RETURN_IF_ERROR(
+      ReadFrames(front_seq_, batch, buf, dequeue_fate_.data()));
+
+  // Kept frames are chain bases: patch each up to its tip image, so disk
+  // writes and second-chance re-enqueues carry every delta refresh since
+  // the full write.
+  struct Survivor {
+    PageId page_id;
+    const char* bytes;
+    bool dirty;
+    Lsn lsn;
+  };  // bytes point into dequeue_buf_; disjoint from the pages written below
+  std::vector<Survivor> survivors;
+  for (uint32_t k = 0; k < batch; ++k) {
+    if (dequeue_fate_[k] == kDrop) continue;
+    const Entry& e = EntryAt(front_seq_ + k);
+    char* bytes = buf + static_cast<size_t>(k) * kPageSize;
+    delta_.ApplyChain(e.page_id, bytes);
+    if (dequeue_fate_[k] == kSecondChance) {
+      survivors.push_back(Survivor{e.page_id, bytes, e.dirty, e.lsn});
+    } else {
       // WritePage stamps id+checksum in place; this batch slot is dead
       // afterwards (a page is either written out or a survivor, never both).
       FACE_RETURN_IF_ERROR(storage_->WritePage(e.page_id, bytes));
@@ -424,7 +440,6 @@ Status FaceCache::MakeRoom() {
 
 Status FaceCache::FillBatchFromDram() {
   if (pull_ == nullptr || staged_count_ == 0) return Status::OK();
-  std::string page(kPageSize, '\0');
   uint32_t attempts = 0;
   while (staged_count_ < options_.group_size &&
          live_entries() < options_.n_frames &&
@@ -433,8 +448,10 @@ Status FaceCache::FillBatchFromDram() {
     bool dirty = false;
     bool fdirty = false;
     Lsn rec_lsn = kInvalidLsn;
-    const PageId pid = pull_->PullVictim(page.data(), &dirty, &fdirty,
-                                         &rec_lsn);
+    // The victim's bytes are lent from its freed DRAM frame; every branch
+    // below consumes them before the next pull.
+    char* page = nullptr;
+    const PageId pid = pull_->PullVictim(&page, &dirty, &fdirty, &rec_lsn);
     if (pid == kInvalidPageId) break;
     ++stats_.pulled_from_dram;
     if (dirty) ++stats_.dirty_evictions;
@@ -447,15 +464,15 @@ Status FaceCache::FillBatchFromDram() {
           delta_.Drop(pid);
           ++stats_.invalidations;
         }
-        FACE_RETURN_IF_ERROR(storage_->WritePage(pid, page.data()));
+        FACE_RETURN_IF_ERROR(storage_->WritePage(pid, page));
         ++stats_.disk_writes;
         NoteDestagedToDisk(pid);
         continue;
       }
       if (!dirty && !options_.cache_clean) continue;
-      if (dirty) NoteDirtyAdmission(pid, rec_lsn, page.data());
+      if (dirty) NoteDirtyAdmission(pid, rec_lsn, page);
       FACE_RETURN_IF_ERROR(
-          Enqueue(pid, page.data(), dirty, ConstPageView(page.data()).lsn()));
+          Enqueue(pid, page, dirty, ConstPageView(page).lsn()));
     }
   }
   return Status::OK();
@@ -677,23 +694,38 @@ Status FaceCache::RecoverAfterCrash() {
   //    ends the append-ordered scan. Note the true rear may exceed
   //    front_seq_ + n_frames: the superblock's front pointer is stale by up
   //    to a segment of dequeues (step 2b reconciles).
+  //
+  //    A ring smaller than the scan window (n_frames < 2 * seg_entries)
+  //    wraps inside it, so frame(seq) may already hold a LATER lap,
+  //    seq + j * n_frames. A slot is only rewritten after its tenant was
+  //    dequeued, so such a seq is a hole, and the scan goes on. The later
+  //    write may be the torn crash-point write, so its stamp (in the first
+  //    sector, which every tear keeps) is trusted without the checksum.
   const uint64_t scan_end = persisted_rear + 2 * s;
+  const uint64_t max_chunk = std::min<uint64_t>(64, options_.n_frames);
   std::string scan(64 * kPageSize, '\0');
   bool lap_ended = false;
+  bool rear_torn = false;  // the frame at the rear is a cut write of rear
   for (uint64_t seq = persisted_rear; seq < scan_end && !lap_ended;) {
     const uint32_t chunk =
-        static_cast<uint32_t>(std::min<uint64_t>(64, scan_end - seq));
+        static_cast<uint32_t>(std::min<uint64_t>(max_chunk, scan_end - seq));
     FACE_RETURN_IF_ERROR(ReadFrames(seq, chunk, scan.data()));
     recovery_info_.rebuilt_frames_scanned += chunk;
     for (uint32_t k = 0; k < chunk; ++k) {
-      ConstPageView view(scan.data() + static_cast<size_t>(k) * kPageSize);
-      const bool this_lap =
-          view.VerifyChecksum() &&
-          view.page_id() < storage_->capacity_pages() &&
-          PageView(const_cast<char*>(scan.data() +
-                                     static_cast<size_t>(k) * kPageSize))
-                  .flags() == static_cast<uint32_t>(seq + k);
+      char* frame = scan.data() + static_cast<size_t>(k) * kPageSize;
+      const ConstPageView view(frame);
+      const uint32_t stamp = PageView(frame).flags();
+      const uint32_t ahead = stamp - static_cast<uint32_t>(seq + k);
+      if (ahead != 0 && ahead % options_.n_frames == 0 &&
+          seq + k + ahead < scan_end) {
+        entries_.push_back(Entry{});  // overwritten by a later lap: a hole
+        ++rear_seq_;
+        continue;
+      }
+      const bool this_lap = ahead == 0 && view.VerifyChecksum() &&
+                            view.page_id() < storage_->capacity_pages();
       if (!this_lap) {
+        rear_torn = ahead == 0;
         lap_ended = true;
         break;
       }
@@ -712,9 +744,11 @@ Status FaceCache::RecoverAfterCrash() {
   //     only enqueued after dequeuing the victim. Entries below the true
   //     rear minus capacity therefore describe pages that were already
   //     dequeued (their dirty copies written to disk) — advance the
-  //     restored front past them.
-  while (rear_seq_ >= options_.n_frames &&
-         front_seq_ < rear_seq_ - options_.n_frames) {
+  //     restored front past them. A torn write of the rear itself had
+  //     begun overwriting the frame of (rear - n_frames), so that entry
+  //     was dequeued too.
+  const uint64_t keep = options_.n_frames - (rear_torn ? 1 : 0);
+  while (rear_seq_ >= keep && front_seq_ < rear_seq_ - keep) {
     entries_.pop_front();
     ++front_seq_;
   }
@@ -930,7 +964,7 @@ Status FaceCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
       ++stats_.disk_reads;
       StampInto(scratch_.data(), frame.data(), e.page_id, e.lsn, seq);
       FACE_RETURN_IF_ERROR(
-          flash_->Write(layout_.FrameBlock(seq), scratch_.data()));
+          flash_->WriteSealed(layout_.FrameBlock(seq), scratch_.data()));
       ++stats_.flash_writes;
       ++out->clean_repaired;
       continue;

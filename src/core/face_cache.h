@@ -170,7 +170,9 @@ class FaceCache final : public CacheExtension {
   /// Base mvFIFO: stage out one page with individual I/Os.
   Status DequeueOne();
   /// GR/GSC: stage out up to group_size pages in batched I/Os; with
-  /// second chance, referenced valid pages are re-enqueued.
+  /// second chance, referenced valid pages are re-enqueued. The batch read
+  /// is charged for the whole group, but only dirty and second-chance
+  /// frames are copied.
   Status DequeueGroup();
   /// GSC: pull victims from the DRAM LRU tail until the staging batch is
   /// full or no free slots/victims remain.
@@ -182,7 +184,10 @@ class FaceCache final : public CacheExtension {
   /// staging arena.
   Status FlushStaging();
   /// Read `count` frames starting at `seq` into `out` (wrap-split batches).
-  Status ReadFrames(uint64_t seq, uint32_t count, char* out);
+  /// With `want`, every frame is charged but only frames k with
+  /// want[k] != 0 are copied (SimDevice::ReadBatchSparse).
+  Status ReadFrames(uint64_t seq, uint32_t count, char* out,
+                    const uint8_t* want = nullptr);
 
   /// dirty_since_ bookkeeping: the disk copy of `page_id` just became
   /// stale (first dirty admission) / current again (dirty destage or an
@@ -255,6 +260,7 @@ class FaceCache final : public CacheExtension {
 
   std::string scratch_;      // one-page stamp/read-back staging
   std::string dequeue_buf_;  // reusable group-dequeue read buffer
+  std::vector<uint8_t> dequeue_fate_;  // per-frame fate of the group dequeue
   bool in_group_replace_ = false;  // guards GSC reentrancy
   RecoveryInfo recovery_info_;
 

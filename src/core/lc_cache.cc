@@ -7,6 +7,7 @@
 
 #include "obs/trace.h"
 #include "storage/page.h"
+#include "storage/verified_read.h"
 
 namespace face {
 
@@ -50,17 +51,17 @@ Status LcCache::WriteFrame(uint64_t frame, const char* page, PageId page_id) {
   view.set_page_id(page_id);
   view.StampChecksum();
   ++stats_.flash_writes;
-  return flash_->Write(frame, scratch_.data());
+  return flash_->WriteSealed(frame, scratch_.data());
 }
 
 StatusOr<FlashReadResult> LcCache::ReadPage(PageId page_id, char* out) {
   Entry* found = index_.Find(page_id);
   if (found == nullptr) return Status::NotFound("page not in LC cache");
   Entry& e = *found;
-  FACE_RETURN_IF_ERROR(flash_->Read(e.frame, out));
+  PageCheck check;
+  FACE_RETURN_IF_ERROR(ReadVerifiedPage(flash_, e.frame, page_id, out, &check));
   ++stats_.flash_reads;
-  ConstPageView view(out);
-  if (!view.VerifyChecksum() || view.page_id() != page_id) {
+  if (check != PageCheck::kOk) {
     return Status::Corruption("LC cache frame failed validation");
   }
   // The frame is the chain base; patch delta refreshes on top and hand the

@@ -6,6 +6,7 @@
 
 #include "obs/metrics.h"
 #include "storage/page.h"
+#include "storage/verified_read.h"
 
 namespace face {
 
@@ -110,17 +111,17 @@ Status TacCache::WriteFrame(uint64_t slot, const char* page, PageId page_id) {
   view.set_page_id(page_id);
   view.StampChecksum();
   ++stats_.flash_writes;
-  return flash_->Write(FrameBlock(slot), scratch_.data());
+  return flash_->WriteSealed(FrameBlock(slot), scratch_.data());
 }
 
 StatusOr<FlashReadResult> TacCache::ReadPage(PageId page_id, char* out) {
   Entry* found = index_.Find(page_id);
   if (found == nullptr) return Status::NotFound("page not in TAC cache");
   Entry& e = *found;
-  FACE_RETURN_IF_ERROR(flash_->Read(FrameBlock(e.slot), out));
+  PageCheck check;
+  FACE_RETURN_IF_ERROR(ReadVerifiedPage(flash_, FrameBlock(e.slot), page_id, out, &check));
   ++stats_.flash_reads;
-  ConstPageView view(out);
-  if (!view.VerifyChecksum() || view.page_id() != page_id) {
+  if (check != PageCheck::kOk) {
     return Status::Corruption("TAC cache frame failed validation");
   }
   // The frame is the chain base; patch delta refreshes on top and hand the

@@ -54,12 +54,9 @@ StatusOr<Rid> HeapFile::Insert(PageWriter* writer, std::string_view record) {
 }
 
 Status HeapFile::Read(Rid rid, std::string* out) const {
-  FACE_ASSIGN_OR_RETURN(PageHandle page, pool_->FetchPage(rid.page_id));
-  HeapPageView view(page.data());
-  if (!view.SlotLive(rid.slot)) return Status::NotFound("dead heap slot");
-  const std::string_view rec = view.Record(rid.slot);
-  out->assign(rec.data(), rec.size());
-  return Status::OK();
+  return Visit(rid, [out](std::string_view rec) {
+    out->assign(rec.data(), rec.size());
+  });
 }
 
 Status HeapFile::Update(PageWriter* writer, Rid rid, std::string_view record) {

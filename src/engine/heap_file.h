@@ -44,6 +44,18 @@ class HeapFile {
   /// Copy the record at `rid` into `out`. NotFound for dead slots.
   Status Read(Rid rid, std::string* out) const;
 
+  /// Read without the copy: call `fn(record)` on the record at `rid` while
+  /// its page is pinned. The view is only valid during the call. NotFound
+  /// for dead slots.
+  template <typename Fn>
+  Status Visit(Rid rid, Fn&& fn) const {
+    FACE_ASSIGN_OR_RETURN(PageHandle page, pool_->FetchPage(rid.page_id));
+    HeapPageView view(page.data());
+    if (!view.SlotLive(rid.slot)) return Status::NotFound("dead heap slot");
+    fn(view.Record(rid.slot));
+    return Status::OK();
+  }
+
   /// Overwrite the record at `rid` with an equal-length image.
   Status Update(PageWriter* writer, Rid rid, std::string_view record);
 

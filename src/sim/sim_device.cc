@@ -63,26 +63,43 @@ uint64_t SimDevice::LocalOffset(uint64_t block) const {
   return (block / (stripe * profile_.stations)) * stripe + block % stripe;
 }
 
-char* SimDevice::PagePtr(uint64_t block) {
-  auto& chunk = chunks_[block / kChunkPages];
-  if (chunk == nullptr) {
-    chunk = std::make_unique<char[]>(kChunkPages * kPageSize);
-    memset(chunk.get(), 0, kChunkPages * kPageSize);
-  }
-  return chunk.get() + (block % kChunkPages) * kPageSize;
+std::unique_ptr<SimDevice::Chunk> SimDevice::NewChunk(bool zero) {
+  // Value-initialization zeroes the whole chunk; default-initialization
+  // leaves the bytes for a caller that overwrites them all anyway.
+  std::unique_ptr<Chunk> chunk(zero ? new Chunk() : new Chunk);
+  if (!zero) memset(chunk->seal, 0, sizeof(chunk->seal));
+  return chunk;
 }
 
-void SimDevice::CopyOut(uint64_t block, uint32_t n, char* out) const {
+char* SimDevice::PagePtr(uint64_t block) {
+  auto& chunk = chunks_[block / kChunkPages];
+  if (chunk == nullptr) chunk = NewChunk(/*zero=*/true);
+  return chunk->bytes + (block % kChunkPages) * kPageSize;
+}
+
+void SimDevice::CopyOut(uint64_t block, uint32_t n, char* out,
+                        const uint8_t* want) const {
   while (n > 0) {
     const auto& chunk = chunks_[block / kChunkPages];
     const uint64_t in_chunk = block % kChunkPages;
     const uint32_t span =
         static_cast<uint32_t>(std::min<uint64_t>(n, kChunkPages - in_chunk));
     const size_t bytes = static_cast<size_t>(span) * kPageSize;
-    if (chunk == nullptr) {
+    if (want != nullptr) {
+      for (uint32_t k = 0; k < span; ++k) {
+        if (want[k] == 0) continue;
+        char* dst = out + static_cast<size_t>(k) * kPageSize;
+        if (chunk == nullptr) {
+          memset(dst, 0, kPageSize);
+        } else {
+          memcpy(dst, chunk->bytes + (in_chunk + k) * kPageSize, kPageSize);
+        }
+      }
+      want += span;
+    } else if (chunk == nullptr) {
       memset(out, 0, bytes);
     } else {
-      memcpy(out, chunk.get() + in_chunk * kPageSize, bytes);
+      memcpy(out, chunk->bytes + in_chunk * kPageSize, bytes);
     }
     out += bytes;
     block += span;
@@ -97,18 +114,29 @@ void SimDevice::CopyIn(uint64_t block, uint32_t n, const char* in) {
     const uint32_t span =
         static_cast<uint32_t>(std::min<uint64_t>(n, kChunkPages - in_chunk));
     const size_t bytes = static_cast<size_t>(span) * kPageSize;
-    if (chunk == nullptr) {
-      if (span == kChunkPages) {
-        // The write covers the whole chunk: no need to zero it first.
-        chunk.reset(new char[kChunkPages * kPageSize]);
-      } else {
-        chunk = std::make_unique<char[]>(kChunkPages * kPageSize);
-      }
-    }
-    memcpy(chunk.get() + in_chunk * kPageSize, in, bytes);
+    // A write covering the whole chunk needs no zeroing first.
+    if (chunk == nullptr) chunk = NewChunk(/*zero=*/span != kChunkPages);
+    memcpy(chunk->bytes + in_chunk * kPageSize, in, bytes);
     in += bytes;
     block += span;
     n -= span;
+  }
+}
+
+void SimDevice::SetSeals(uint64_t block, uint32_t n, bool on) {
+  for (uint64_t b = block; b < block + n; ++b) {
+    Chunk* chunk = chunks_[b / kChunkPages].get();
+    if (chunk == nullptr) {
+      b |= kChunkPages - 1;  // nothing sealed here: skip to the next chunk
+      continue;
+    }
+    const uint64_t i = b % kChunkPages;
+    const uint64_t bit = uint64_t{1} << (i % 64);
+    if (on) {
+      chunk->seal[i / 64] |= bit;
+    } else {
+      chunk->seal[i / 64] &= ~bit;
+    }
   }
 }
 
@@ -184,7 +212,7 @@ Status SimDevice::ConsultWithRetries(IoOp op, uint64_t block, uint32_t n,
 }
 
 Status SimDevice::DoIo(IoOp op, uint64_t block, uint32_t n, char* rbuf,
-                       const char* wbuf) {
+                       const char* wbuf, const uint8_t* want, bool seal) {
   if (n == 0) return Status::InvalidArgument("zero-length I/O");
   if (block + n > capacity_pages_) {
     return Status::IOError(id_ + ": I/O beyond device capacity");
@@ -193,6 +221,10 @@ Status SimDevice::DoIo(IoOp op, uint64_t block, uint32_t n, char* rbuf,
               "read without a destination buffer");
   FACE_DCHECK(op == IoOp::kRead || wbuf != nullptr,
               "write without a source buffer");
+
+  // Any write may change the range's bytes (a cut or dropped one included):
+  // nothing in it is "unchanged since stamped" any more.
+  if (op == IoOp::kWrite) SetSeals(block, n, /*on=*/false);
 
   if (failed_) {
     return Status::DeviceLost(id_ + ": device offline");
@@ -205,9 +237,10 @@ Status SimDevice::DoIo(IoOp op, uint64_t block, uint32_t n, char* rbuf,
 
   // Move the bytes, one memcpy per chunk span.
   if (op == IoOp::kRead) {
-    CopyOut(block, n, rbuf);
+    CopyOut(block, n, rbuf, want);
   } else {
     CopyIn(block, n, wbuf);
+    if (seal) SetSeals(block, n, /*on=*/true);
   }
 
   if (!timing_enabled_) return Status::OK();
@@ -280,6 +313,20 @@ Status SimDevice::WriteBatch(uint64_t block, uint32_t n, const char* in) {
   return DoIo(IoOp::kWrite, block, n, nullptr, in);
 }
 
+Status SimDevice::WriteSealed(uint64_t block, const char* in) {
+  return DoIo(IoOp::kWrite, block, 1, nullptr, in, nullptr, /*seal=*/true);
+}
+
+Status SimDevice::WriteBatchSealed(uint64_t block, uint32_t n,
+                                   const char* in) {
+  return DoIo(IoOp::kWrite, block, n, nullptr, in, nullptr, /*seal=*/true);
+}
+
+Status SimDevice::ReadBatchSparse(uint64_t block, uint32_t n, char* out,
+                                  const uint8_t* want) {
+  return DoIo(IoOp::kRead, block, n, out, nullptr, want);
+}
+
 double SimDevice::Utilization(SimNanos makespan) const {
   if (makespan == 0) return 0.0;
   return static_cast<double>(stats_.busy_ns) /
@@ -312,7 +359,7 @@ Status SimDevice::SaveContents(const std::string& path) const {
     const uint8_t present = chunks_[i] != nullptr ? 1 : 0;
     ok = fwrite(&present, 1, 1, f) == 1;
     if (ok && present) {
-      ok = fwrite(chunks_[i].get(), kChunkPages * kPageSize, 1, f) == 1;
+      ok = fwrite(chunks_[i]->bytes, kChunkPages * kPageSize, 1, f) == 1;
     }
   }
   ok = fclose(f) == 0 && ok;
@@ -328,14 +375,14 @@ Status SimDevice::LoadContents(const std::string& path) {
             capacity == capacity_pages_ && n_chunks == chunks_.size();
   // Stage into a scratch chunk vector and swap only once the whole image
   // has been read: a short or corrupt file must not leave the device
-  // half-loaded.
-  std::vector<std::unique_ptr<char[]>> loaded(chunks_.size());
+  // half-loaded. Loaded chunks start unsealed.
+  std::vector<std::unique_ptr<Chunk>> loaded(chunks_.size());
   for (uint64_t i = 0; ok && i < n_chunks; ++i) {
     uint8_t present = 0;
     ok = fread(&present, 1, 1, f) == 1;
     if (ok && present != 0) {
-      loaded[i].reset(new char[kChunkPages * kPageSize]);
-      ok = fread(loaded[i].get(), kChunkPages * kPageSize, 1, f) == 1;
+      loaded[i] = NewChunk(/*zero=*/false);
+      ok = fread(loaded[i]->bytes, kChunkPages * kPageSize, 1, f) == 1;
     }
   }
   fclose(f);
@@ -351,11 +398,11 @@ Status SimDevice::CloneContentsFrom(const SimDevice& src) {
     return Status::InvalidArgument("clone source larger than destination");
   }
   Erase();
+  // Bytes only: the clone's blocks start unsealed.
   for (size_t i = 0; i < src.chunks_.size(); ++i) {
     if (src.chunks_[i] == nullptr) continue;
-    auto& dst = chunks_[i];
-    dst = std::make_unique<char[]>(kChunkPages * kPageSize);
-    memcpy(dst.get(), src.chunks_[i].get(), kChunkPages * kPageSize);
+    chunks_[i] = NewChunk(/*zero=*/false);
+    memcpy(chunks_[i]->bytes, src.chunks_[i]->bytes, kChunkPages * kPageSize);
   }
   return Status::OK();
 }

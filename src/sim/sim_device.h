@@ -41,6 +41,17 @@ struct DeviceStats {
 
 /// Simulated device; see file comment. Not thread-safe (the whole simulation
 /// is single-threaded by design).
+///
+/// Seals. Each block carries one "unchanged since stamped" bit, kept with
+/// its lazily allocated chunk (freeing the chunk drops the bits). A block is
+/// sealed by a WriteSealed/WriteBatchSealed that persists whole — the
+/// caller has just stamped the page checksum — or by Seal() after a
+/// checksum verification of the block passed. Every other write clears the
+/// seal over its whole request range, including writes the fault injector
+/// cuts short or drops, and so do Erase, TrimBefore, LoadContents and
+/// CloneContentsFrom. A sealed block's bytes therefore still carry the
+/// checksum they were stamped with, and read paths may skip re-verifying it
+/// (storage/verified_read.h).
 class SimDevice {
  public:
   /// Creates a device of `capacity_pages` 4 KB blocks. If `sched` is given,
@@ -58,6 +69,30 @@ class SimDevice {
   Status ReadBatch(uint64_t block, uint32_t n, char* out);
   /// Write `n` contiguous pages, same pricing as ReadBatch.
   Status WriteBatch(uint64_t block, uint32_t n, const char* in);
+  /// Write / WriteBatch of pages whose checksums the caller has just
+  /// stamped: identical I/O, and the range is sealed if it persists whole.
+  Status WriteSealed(uint64_t block, const char* in);
+  Status WriteBatchSealed(uint64_t block, uint32_t n, const char* in);
+  /// ReadBatch that moves only the pages the caller will read: priced,
+  /// counted and fault-checked exactly like ReadBatch(block, n, out), but
+  /// only pages k with want[k] != 0 are copied into their slot of `out`;
+  /// the other slots are left untouched. A null `want` copies every page.
+  Status ReadBatchSparse(uint64_t block, uint32_t n, char* out,
+                         const uint8_t* want);
+
+  /// True iff `block` is sealed (see class comment).
+  bool sealed(uint64_t block) const {
+    const Chunk* c = chunks_[block / kChunkPages].get();
+    const uint64_t i = block % kChunkPages;
+    return c != nullptr && (c->seal[i / 64] >> (i % 64) & 1) != 0;
+  }
+  /// Seal `block` after its checksum verified (no-op on a never-written
+  /// block, which cannot verify).
+  void Seal(uint64_t block) {
+    Chunk* c = chunks_[block / kChunkPages].get();
+    const uint64_t i = block % kChunkPages;
+    if (c != nullptr) c->seal[i / 64] |= uint64_t{1} << (i % 64);
+  }
 
   const std::string& id() const { return id_; }
   const DeviceProfile& profile() const { return profile_; }
@@ -123,8 +158,11 @@ class SimDevice {
   void ResetHealth() { failed_ = false; }
 
  private:
+  /// The one request path. `want` (reads, optional) selects the pages to
+  /// copy out; `seal` (writes) seals the range if it persists whole.
   Status DoIo(IoOp op, uint64_t block, uint32_t n, char* rbuf,
-              const char* wbuf);
+              const char* wbuf, const uint8_t* want = nullptr,
+              bool seal = false);
   /// Cold path of DoIo: consult the attached injector for one attempt. OK =
   /// proceed with the request; a retryable error may be re-attempted by
   /// DoIo's retry loop; any other error ends the request (possibly after a
@@ -136,11 +174,16 @@ class SimDevice {
   /// clock between attempts, declare the device lost on budget exhaustion.
   Status ConsultWithRetries(IoOp op, uint64_t block, uint32_t n,
                             const char* wbuf, uint32_t* latency_factor);
-  /// Copy `n` pages at `block` into `out`, one memcpy per chunk span.
-  /// Absent chunks read back as zeroes without being materialized.
-  void CopyOut(uint64_t block, uint32_t n, char* out) const;
+  /// Copy `n` pages at `block` into `out`, one memcpy per chunk span (one
+  /// per wanted page when `want` is given). Absent chunks read back as
+  /// zeroes without being materialized.
+  void CopyOut(uint64_t block, uint32_t n, char* out,
+               const uint8_t* want) const;
   /// Copy `n` pages from `in` to `block`, one memcpy per chunk span.
   void CopyIn(uint64_t block, uint32_t n, const char* in);
+  /// Set (`on`) or clear the seal bits of blocks [block, block + n) that
+  /// live in allocated chunks.
+  void SetSeals(uint64_t block, uint32_t n, bool on);
   /// Register this device's "sim.<id>.*" metric handles (ctor-time; the
   /// registry hands out process-lifetime pointers, so the handles are valid
   /// even if observability is only enabled later).
@@ -152,6 +195,14 @@ class SimDevice {
   char* PagePtr(uint64_t block);
 
   static constexpr uint64_t kChunkPages = 1024;  // 4 MiB lazy chunks
+
+  /// One lazily allocated run of kChunkPages blocks plus their seal bits.
+  struct Chunk {
+    char bytes[kChunkPages * kPageSize];
+    uint64_t seal[kChunkPages / 64];
+  };
+  /// Allocate a chunk with all seals clear; `zero` also zeroes the bytes.
+  static std::unique_ptr<Chunk> NewChunk(bool zero);
 
   std::string id_;
   DeviceProfile profile_;
@@ -169,7 +220,7 @@ class SimDevice {
   /// (mvFIFO enqueue + dequeue) keeps both sequential, as NCQ/elevator
   /// scheduling does on real hardware.
   std::vector<std::array<uint64_t, 2>> last_end_;
-  std::vector<std::unique_ptr<char[]>> chunks_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
 
   /// "sim.<id>.*" handles, indexed by IoOp where it is a pair. Metrics
   /// mirror DeviceStats (so snapshots cover devices uniformly) and add the

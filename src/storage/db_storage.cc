@@ -1,6 +1,7 @@
 #include "storage/db_storage.h"
 
 #include "storage/page.h"
+#include "storage/verified_read.h"
 
 namespace face {
 
@@ -10,9 +11,10 @@ Status DbStorage::ReadPage(PageId page_id, char* out) {
   if (page_id >= device_->capacity_pages()) {
     return Status::InvalidArgument("page id beyond device capacity");
   }
-  FACE_RETURN_IF_ERROR(device_->Read(page_id, out));
-  ConstPageView view(out);
-  if (!view.VerifyChecksum()) {
+  PageCheck check;
+  FACE_RETURN_IF_ERROR(ReadVerifiedPage(device_, page_id, page_id, out,
+                                        &check));
+  if (check == PageCheck::kBadChecksum) {
     // Distinguish "never written" (all zero) from torn/corrupt data.
     bool all_zero = true;
     for (uint32_t i = 0; i < kPageSize; ++i) {
@@ -24,7 +26,7 @@ Status DbStorage::ReadPage(PageId page_id, char* out) {
     if (all_zero) return Status::NotFound("page never written");
     return Status::Corruption("page checksum mismatch");
   }
-  if (view.page_id() != page_id) {
+  if (check == PageCheck::kWrongPageId) {
     return Status::Corruption("page id mismatch: misdirected write");
   }
   return Status::OK();
@@ -37,7 +39,7 @@ Status DbStorage::WritePage(PageId page_id, char* buf) {
   PageView view(buf);
   view.set_page_id(page_id);
   view.StampChecksum();
-  return device_->Write(page_id, buf);
+  return device_->WriteSealed(page_id, buf);
 }
 
 StatusOr<PageId> DbStorage::AllocatePage() {

@@ -17,11 +17,13 @@ class DbStorage {
   /// `device` must outlive this object. Page ids map 1:1 to device blocks.
   explicit DbStorage(SimDevice* device);
 
-  /// Read a page; verifies checksum and page-id match unless the page has
-  /// never been written (returns NotFound for virgin pages).
+  /// Read a page; verifies checksum (skipped on a sealed block, see
+  /// verified_read.h) and page-id match unless the page has never been
+  /// written (returns NotFound for virgin pages).
   Status ReadPage(PageId page_id, char* out);
 
-  /// Write a page. Stamps the checksum into `buf` (buf is mutated).
+  /// Write a page. Stamps the checksum into `buf` (buf is mutated) and
+  /// seals the block.
   Status WritePage(PageId page_id, char* buf);
 
   /// Allocate the next page id (bump allocator; freed pages not recycled —

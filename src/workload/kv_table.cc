@@ -1,10 +1,25 @@
 #include "workload/kv_table.h"
 
+#include <array>
+#include <string_view>
+
 #include "common/coding.h"
 #include "engine/key_codec.h"
 
 namespace face {
 namespace workload {
+
+namespace {
+
+/// Payload letter of each byte value: 'a' + byte % 26.
+constexpr std::array<char, 256> MakeLetterTable() {
+  std::array<char, 256> t{};
+  for (int b = 0; b < 256; ++b) t[b] = static_cast<char>('a' + b % 26);
+  return t;
+}
+constexpr std::array<char, 256> kLetterOf = MakeLetterTable();
+
+}  // namespace
 
 StatusOr<KvTable> KvTable::Create(Database& db, PageWriter* writer) {
   KvTable t;
@@ -36,20 +51,17 @@ void KvTable::RowTo(std::string* out, uint64_t id, uint32_t value_bytes,
   EncodeFixed64(out->data(), id);
   // Deterministic payload bytes from (id, version) — replays reproduce the
   // exact on-media image without storing it anywhere. Eight letters per
-  // generator draw: this runs once per row of every KV population, and one
-  // xorshift step per byte used to dominate 1M-row load wall-clock.
+  // generator draw, each looked up ('a' + byte % 26) rather than divided
+  // out: this runs once per row of every KV population and every update,
+  // and one xorshift step per byte used to dominate 1M-row load wall-clock.
   Random payload(id * 0x9e3779b97f4a7c15ull ^ version);
   char* p = out->data() + 8;
   uint32_t i = 0;
   for (; i + 8 <= value_bytes; i += 8) {
     const uint64_t draw = payload.Next();
-    for (int k = 0; k < 8; ++k) {
-      p[i + k] = static_cast<char>('a' + ((draw >> (8 * k)) & 0xff) % 26);
-    }
+    for (int k = 0; k < 8; ++k) p[i + k] = kLetterOf[(draw >> (8 * k)) & 0xff];
   }
-  for (; i < value_bytes; ++i) {
-    p[i] = static_cast<char>('a' + (payload.Next() & 0xff) % 26);
-  }
+  for (; i < value_bytes; ++i) p[i] = kLetterOf[payload.Next() & 0xff];
 }
 
 Status KvTable::Insert(PageWriter* writer, uint64_t id, uint32_t value_bytes,
@@ -109,9 +121,11 @@ Status KvTable::Update(PageWriter* writer, uint64_t id, uint32_t value_bytes,
 StatusOr<uint64_t> KvTable::Scan(uint64_t id, uint64_t max_rows) const {
   FACE_ASSIGN_OR_RETURN(BPlusTree::Iterator it, pk.Seek(Key(id)));
   uint64_t read = 0;
-  std::string row;
   while (it.Valid() && read < max_rows) {
-    FACE_RETURN_IF_ERROR(rows.Read(DecodeRid(it.value()), &row));
+    // Each row is fetched and checked live in place; nothing consumes its
+    // bytes, so nothing copies them.
+    FACE_RETURN_IF_ERROR(
+        rows.Visit(DecodeRid(it.value()), [](std::string_view) {}));
     ++read;
     FACE_RETURN_IF_ERROR(it.Next());
   }

@@ -1,11 +1,14 @@
 // Unit tests: buffer pool LRU behavior, pin discipline, dirty/fdirty flag
 // protocol, WAL-before-data, eviction through the cache extension, victim
-// pulling.
+// pulling (including victims lent to FaCE+GSC straight from their frames).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "core/face_cache.h"
 #include "tests/test_util.h"
 
 namespace face {
@@ -132,15 +135,82 @@ TEST_F(BufferPoolTest, PullVictimSurrendersLruTail) {
     p.MarkDirty(kInvalidLsn);
     created.push_back(p.page_id());
   }
-  std::string buf(kPageSize, '\0');
+  char* lent = nullptr;
   bool dirty = false, fdirty = false;
   Lsn rec_lsn = kInvalidLsn;
-  const PageId victim = pool_->PullVictim(buf.data(), &dirty, &fdirty,
-                                          &rec_lsn);
+  const PageId victim = pool_->PullVictim(&lent, &dirty, &fdirty, &rec_lsn);
   EXPECT_EQ(victim, created[0]);  // LRU order
   EXPECT_TRUE(dirty);
-  EXPECT_EQ(PageView(buf.data()).page_id(), victim);
+  ASSERT_NE(lent, nullptr);
+  EXPECT_EQ(PageView(lent).page_id(), victim);
   EXPECT_EQ(pool_->pages_in_pool(), 3u);
+}
+
+/// Stamp page `id`'s payload with a pattern unique to (id, version).
+void WriteVersion(PageHandle* h, uint32_t version) {
+  char* payload = h->view().payload();
+  memset(payload, static_cast<char>('a' + (h->page_id() + version) % 26),
+         kPagePayloadSize);
+  EncodeFixed64(payload, h->page_id());
+  EncodeFixed32(payload + 8, version);
+  h->MarkDirty(kInvalidLsn);
+}
+
+TEST(BufferPoolLendTest, LentVictimsReachFlashAndDiskIntact) {
+  // FaCE+GSC pulls extra victims off the pool's LRU tail to fill a write
+  // batch, and the pool lends it each victim's freed frame instead of a
+  // copy. Every pulled page must land on flash (or, with cache_dirty off,
+  // on disk) with exactly the bytes its frame held: the lent frame must
+  // not be handed out again before the cache has consumed it.
+  for (const bool cache_dirty : {true, false}) {
+    SCOPED_TRACE(cache_dirty ? "cache_dirty" : "dirty pages bypass flash");
+    SimDevice db_dev("db", DeviceProfile::Seagate15k(), 4096);
+    SimDevice log_dev("log", DeviceProfile::Seagate15k(), 1 << 16);
+    FaceOptions o = FaceOptions::GroupSecondChance(16);
+    o.group_size = 8;
+    o.seg_entries = 64;
+    o.cache_dirty = cache_dirty;
+    SimDevice flash_dev(
+        "flash", DeviceProfile::MlcSamsung470(),
+        FlashLayout::Compute(o.n_frames, o.seg_entries).total_blocks);
+    DbStorage storage(&db_dev);
+    LogManager log(&log_dev);
+    FACE_ASSERT_OK(log.Format());
+    FaceCache cache(o, &flash_dev, &storage);
+    FACE_ASSERT_OK(cache.Format());
+    BufferPool pool(8, &storage, &log, &cache);
+
+    constexpr uint32_t kPages = 64;
+    std::vector<uint32_t> version(kPages, 0);
+    for (uint32_t i = 0; i < kPages; ++i) {
+      FACE_ASSERT_OK_AND_ASSIGN(PageHandle h, pool.NewPage());
+      ASSERT_EQ(h.page_id(), i);
+      WriteVersion(&h, 0);
+    }
+    // Re-read the pages round-robin, dirtying every third one: clean
+    // evictions keep the cache full, so each replacement pulls victims,
+    // dirty ones among them.
+    for (uint32_t round = 1; round <= 6; ++round) {
+      for (uint32_t i = 0; i < kPages; ++i) {
+        FACE_ASSERT_OK_AND_ASSIGN(PageHandle h, pool.FetchPage(i));
+        if ((i + round) % 3 == 0) WriteVersion(&h, version[i] = round);
+      }
+    }
+    EXPECT_GT(pool.stats().pulls, 0u);
+    EXPECT_EQ(cache.stats().pulled_from_dram, pool.stats().pulls);
+
+    FACE_ASSERT_OK(pool.EvictAll());
+    FACE_ASSERT_OK(cache.AuditFrames().status());
+    for (uint32_t i = 0; i < kPages; ++i) {
+      FACE_ASSERT_OK_AND_ASSIGN(PageHandle h, pool.FetchPage(i));
+      const char* payload = h.view().payload();
+      EXPECT_EQ(DecodeFixed64(payload), i);
+      EXPECT_EQ(DecodeFixed32(payload + 8), version[i]) << "page " << i;
+      const std::string fill(kPagePayloadSize - 12,
+                             static_cast<char>('a' + (i + version[i]) % 26));
+      EXPECT_EQ(std::string(payload + 12, fill.size()), fill) << "page " << i;
+    }
+  }
 }
 
 TEST_F(BufferPoolTest, EvictAllEmptiesUnpinnedFrames) {

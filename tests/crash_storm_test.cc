@@ -122,6 +122,40 @@ TEST(CrashStormTest, GroupSecondChance) {
   }
 }
 
+TEST(CrashStormTest, RingSmallerThanOneSegment) {
+  // A FaCE ring with fewer frames than one metadata segment wraps inside
+  // the restart scan window: frames of the lost in-memory segment may
+  // already hold a later lap. Restart must neither restore entries whose
+  // frames were overwritten nor stop scanning at the first one (recovery
+  // used to fail with "flash cache frame failed validation" here). Both
+  // rings are also smaller than one 64-frame scan chunk.
+  const uint64_t seeds = std::max<uint64_t>(6, StormSeeds() / 2);
+  for (const CachePolicy policy : {CachePolicy::kFace, CachePolicy::kFaceGSC}) {
+    for (const uint64_t frames : {uint64_t{40}, uint64_t{24}}) {
+      CrashStormOptions opts;
+      opts.policy = policy;
+      opts.flash_pages = frames;
+      opts.seg_entries = 256;
+      ASSERT_LT(opts.flash_pages, opts.seg_entries);
+      CrashStormHarness harness(opts);
+      uint64_t tripped = 0;
+      for (uint64_t seed = BaseSeed(); seed < BaseSeed() + seeds; ++seed) {
+        auto result = harness.RunStorm(seed);
+        ASSERT_TRUE(result.ok())
+            << CachePolicyName(policy) << " frames " << frames << " seed "
+            << seed << ": " << result.status().ToString();
+        EXPECT_TRUE(result->diff.ok())
+            << CachePolicyName(policy) << " frames " << frames << " seed "
+            << seed << "\n"
+            << result->ToString();
+        if (result->crashed_mid_body) ++tripped;
+      }
+      EXPECT_GE(tripped, seeds / 2) << CachePolicyName(policy) << " frames "
+                                    << frames;
+    }
+  }
+}
+
 TEST(CrashStormTest, DeliberatelyBrokenRecoveryIsCaught) {
   // Wipe the FaCE superblock after each crash: the cache cold-formats
   // instead of restoring its metadata, so pages whose only current copy

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/face_cache.h"
+#include "fault/fault_injector.h"
 #include "tests/test_util.h"
 
 namespace face {
@@ -139,12 +140,13 @@ TEST_F(FaceCacheTest, GroupReplacementBatchesIo) {
 class FakePullSource : public DramPullSource {
  public:
   explicit FakePullSource(PageId first) : next_(first) {}
-  PageId PullVictim(char* page, bool* dirty, bool* fdirty,
+  PageId PullVictim(char** page, bool* dirty, bool* fdirty,
                     Lsn* rec_lsn) override {
     if (remaining_ == 0) return kInvalidPageId;
     --remaining_;
     const PageId id = next_++;
-    PageView v(page);
+    *page = frame_.data();
+    PageView v(frame_.data());
     v.Format(id);
     v.set_lsn(5);
     *dirty = true;
@@ -157,6 +159,7 @@ class FakePullSource : public DramPullSource {
   uint32_t pulled = 0;
 
  private:
+  std::string frame_ = std::string(kPageSize, '\0');  // the lent frame
   PageId next_;
   uint32_t remaining_ = 0;
 };
@@ -254,6 +257,65 @@ TEST_F(FaceCacheTest, RecoversAfterRingWrap) {
       EXPECT_EQ(out[kPageHeaderSize], 'd') << "page " << p;
     }
   }
+}
+
+TEST_F(FaceCacheTest, RecoversRingSmallerThanOneSegment) {
+  // 16 frames, 64-entry segments: the unpersisted tail (seqs 64..99) laps
+  // the ring twice, so the restart scan meets later-lap frames first.
+  FaceOptions o = FaceOptions::Base(16);
+  o.seg_entries = 64;
+  Init(o);
+  for (PageId p = 0; p < 100; ++p) {
+    FACE_ASSERT_OK(Evict(p, true, true, static_cast<char>('A' + p % 26)));
+  }
+  Reboot();
+  FACE_ASSERT_OK(cache_->CheckInvariants());
+  FACE_ASSERT_OK(cache_->AuditFrames().status());
+  EXPECT_EQ(cache_->rear_seq(), 100u);
+  EXPECT_EQ(cache_->valid_pages(), 16u);
+  std::string out(kPageSize, '\0');
+  for (PageId p = 84; p < 100; ++p) {
+    ASSERT_TRUE(cache_->Contains(p)) << "page " << p;
+    FACE_ASSERT_OK(cache_->ReadPage(p, out.data()).status());
+    EXPECT_EQ(out[kPageHeaderSize], static_cast<char>('A' + p % 26));
+  }
+}
+
+TEST_F(FaceCacheTest, TornRearFrameRetiresTheSlotsPreviousTenant) {
+  // A crash tearing the write of frame(rear) had already begun overwriting
+  // the slot of (rear - n_frames), whose entry was dequeued (and its dirty
+  // page destaged) first. Restart must not restore that entry over the
+  // torn bytes, even when persisted metadata still lists it.
+  uint32_t torn = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    FaceOptions o = FaceOptions::Base(16);
+    o.seg_entries = 4;
+    Init(o);
+    for (PageId p = 0; p < 40; ++p) FACE_ASSERT_OK(Evict(p, true, true));
+    FaultInjector fault;
+    fault.TargetDevice("flash");
+    flash_->set_fault_injector(&fault);
+    fault.ArmAfterWrites(1, seed);
+    // The new frame differs from the old one in its last sector too, so a
+    // cut that keeps some sectors leaves a frame that fails its checksum.
+    std::string page = MakePage(100, 'x');
+    memset(page.data() + kPageSize - 100, 'x', 100);
+    EXPECT_FALSE(  // cut writing frame(40)
+        cache_->OnDramEvict(100, page.data(), true, true, 10).ok());
+    const CrashSite site = fault.site();
+    fault.Disarm();
+    flash_->set_fault_injector(nullptr);
+    ASSERT_TRUE(site.tripped);
+    Reboot();
+    FACE_ASSERT_OK(cache_->AuditFrames().status());
+    if (site.sectors_persisted > 0) {
+      ++torn;
+      EXPECT_FALSE(cache_->Contains(24)) << "seed " << seed;
+    }  // else the write dropped whole and frame(24) is still intact
+    std::string out(kPageSize, '\0');
+    FACE_ASSERT_OK(storage_->ReadPage(24, out.data()));  // destaged copy
+  }
+  EXPECT_GT(torn, 0u) << "no seed tore the frame write";
 }
 
 TEST_F(FaceCacheTest, RecoverOnFreshDeviceIsColdStart) {

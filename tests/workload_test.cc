@@ -8,6 +8,8 @@
 
 #include <map>
 
+#include "common/coding.h"
+#include "common/random.h"
 #include "tests/test_util.h"
 #include "workload/kv_table.h"
 #include "workload/scan_workload.h"
@@ -57,6 +59,63 @@ TestbedOptions SmallOptions(const GoldenImage& golden, CachePolicy policy) {
   opts.flash_pages = golden.db_pages() / 5;
   opts.clients = 8;
   return opts;
+}
+
+// --- KV table ----------------------------------------------------------------
+
+/// The payload formula RowTo replaced with a lookup table: 'a' + byte % 26
+/// per generator byte, eight bytes per draw, then one draw per tail byte.
+std::string ModuloRow(uint64_t id, uint32_t value_bytes, uint64_t version) {
+  std::string out(8 + value_bytes, '\0');
+  EncodeFixed64(out.data(), id);
+  Random payload(id * 0x9e3779b97f4a7c15ull ^ version);
+  char* p = out.data() + 8;
+  uint32_t i = 0;
+  for (; i + 8 <= value_bytes; i += 8) {
+    const uint64_t draw = payload.Next();
+    for (int k = 0; k < 8; ++k) {
+      p[i + k] = static_cast<char>('a' + ((draw >> (8 * k)) & 0xff) % 26);
+    }
+  }
+  for (; i < value_bytes; ++i) {
+    p[i] = static_cast<char>('a' + (payload.Next() & 0xff) % 26);
+  }
+  return out;
+}
+
+TEST(KvTableRowTest, RowBytesMatchTheModuloFormula) {
+  std::string row;
+  for (uint64_t id = 0; id < 100000; ++id) {
+    workload::KvTable::RowTo(&row, id, 400, 0);
+    ASSERT_EQ(row, ModuloRow(id, 400, 0)) << "id " << id;
+  }
+  // Odd widths exercise the per-byte tail; versions vary the stream.
+  for (uint64_t id = 0; id < 2000; ++id) {
+    for (const uint32_t width : {0u, 5u, 13u, 200u}) {
+      workload::KvTable::RowTo(&row, id, width, id % 7);
+      ASSERT_EQ(row, ModuloRow(id, width, id % 7)) << "id " << id;
+    }
+  }
+}
+
+class KvTableTest : public EngineFixture {};
+
+TEST_F(KvTableTest, ScanCountsRowsFromTheStartKey) {
+  Init(4096, 32);  // a small pool: scans fault pages back in from disk
+  PageWriter bulk = db_->BulkWriter();
+  FACE_ASSERT_OK_AND_ASSIGN(workload::KvTable table,
+                            workload::KvTable::Create(*db_, &bulk));
+  FACE_ASSERT_OK(table.Populate(&bulk, 2000, 100, /*bulk=*/true));
+  struct Case {
+    uint64_t id, max_rows, rows;
+  };
+  const Case cases[] = {{0, 500, 500},   {1700, 800, 300}, {1999, 10, 1},
+                        {2000, 10, 0},   {0, 5000, 2000},  {123, 0, 0},
+                        {640, 1, 1}};
+  for (const Case& c : cases) {
+    FACE_ASSERT_OK_AND_ASSIGN(uint64_t rows, table.Scan(c.id, c.max_rows));
+    EXPECT_EQ(rows, c.rows) << "scan from " << c.id << " max " << c.max_rows;
+  }
 }
 
 // --- distribution shape ------------------------------------------------------
