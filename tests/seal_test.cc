@@ -7,7 +7,8 @@
 //   - every other write clears the seal over its whole request range, cut
 //     and dropped writes included, and so do Erase, TrimBefore,
 //     LoadContents and CloneContentsFrom;
-//   - a sealed read returns the same status and bytes as a verified one;
+//   - a sealed read returns the same status and bytes as a verified one,
+//     and every policy still reports a frame that rotted after it was read;
 //   - a sparse batch read charges exactly what the full read charges.
 // ctest runs this binary twice: with FACE_PARANOID_CHECKSUMS=1 (as every
 // test) and with the mode off.
@@ -18,6 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "core/exadata_cache.h"
+#include "core/face_cache.h"
+#include "core/lc_cache.h"
+#include "core/tac_cache.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "sim/scheduler.h"
@@ -234,6 +239,67 @@ TEST(SealTest, DbStorageSealsItsWritesAndStillCatchesRot) {
   FACE_ASSERT_OK(FaultInjector::FlipBitsInBlock(&dev, 4, 2, /*seed=*/3));
   EXPECT_FALSE(dev.sealed(4));
   EXPECT_TRUE(storage.ReadPage(4, out.data()).IsCorruption());
+}
+
+TEST(SealTest, EveryPolicyReportsAFrameThatRottedAfterARead) {
+  // A frame is sealed once written (or read and verified); bit rot planted
+  // afterwards must unseal it, so the next read verifies and reports it.
+  constexpr uint64_t kFrames = 16;
+  constexpr PageId kPage = 7;
+  for (const bool paranoid : {false, true}) {
+    ParanoidScope mode(paranoid);
+    for (int policy = 0; policy < 4; ++policy) {
+      SimDevice db("db", DeviceProfile::Seagate15k(), 256);
+      DbStorage storage(&db);
+      SimDevice flash("flash", DeviceProfile::MlcSamsung470(),
+                      FlashLayout::Compute(kFrames, 64).total_blocks);
+      std::unique_ptr<CacheExtension> cache;
+      std::string page = StampedPage(kPage, 'r');
+      if (policy == 0) {
+        FaceOptions o = FaceOptions::Base(kFrames);
+        o.seg_entries = 64;
+        auto face = std::make_unique<FaceCache>(o, &flash, &storage);
+        FACE_ASSERT_OK(face->Format());
+        cache = std::move(face);
+      } else if (policy == 1) {
+        LcOptions o;
+        o.n_frames = kFrames;
+        cache = std::make_unique<LcCache>(o, &flash, &storage);
+      } else if (policy == 2) {
+        TacOptions o;
+        o.n_frames = kFrames;
+        auto tac = std::make_unique<TacCache>(o, &flash, &storage);
+        FACE_ASSERT_OK(tac->Format());
+        cache = std::move(tac);
+      } else {
+        cache = std::make_unique<ExadataCache>(kFrames, &flash, &storage);
+      }
+      SCOPED_TRACE(std::string(cache->name()) +
+                   (paranoid ? " paranoid" : " fast"));
+      if (policy < 2) {
+        FACE_ASSERT_OK(cache->OnDramEvict(kPage, page.data(), true, true, 10));
+      } else {
+        FACE_ASSERT_OK(cache->OnFetchFromDisk(kPage, page.data()));
+      }
+      ASSERT_TRUE(cache->Contains(kPage));
+
+      // Find the frame by its contents: each policy lays flash out its way.
+      uint64_t frame = UINT64_MAX;
+      std::string probe(kPageSize, '\0');
+      for (uint64_t b = 0; b < flash.capacity_pages(); ++b) {
+        FACE_ASSERT_OK(flash.Read(b, probe.data()));
+        const ConstPageView v(probe.data());
+        if (v.VerifyChecksum() && v.page_id() == kPage) frame = b;
+      }
+      ASSERT_NE(frame, UINT64_MAX);
+
+      std::string out(kPageSize, '\0');
+      FACE_ASSERT_OK(cache->ReadPage(kPage, out.data()).status());
+      EXPECT_TRUE(flash.sealed(frame));
+      FACE_ASSERT_OK(FaultInjector::FlipBitsInBlock(&flash, frame, 3, 17));
+      EXPECT_TRUE(cache->ReadPage(kPage, out.data()).status().IsCorruption());
+    }
+  }
 }
 
 /// Charges of one device, compared field by field.
